@@ -108,7 +108,8 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		cfgs = sweep.Shard(cfgs, i, n)
+		lo, hi := sweep.SpanOf(len(cfgs), i, n)
+		cfgs = cfgs[lo:hi]
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)

@@ -127,8 +127,8 @@ func TestTwoHostRunByteIdenticalToSingleHost(t *testing.T) {
 		if sh.Index != i || sh.Attempts != 1 || sh.Host == "" || sh.JobID == "" {
 			t.Errorf("shard report %d = %+v", i, sh)
 		}
-		if want := sweep.ShardLen(len(cfgs), i, 2); sh.Configs != want {
-			t.Errorf("shard %d ran %d configs, want %d", i, sh.Configs, want)
+		if lo, hi := sweep.SpanOf(len(cfgs), i, 2); sh.Configs != hi-lo {
+			t.Errorf("shard %d ran %d configs, want %d", i, sh.Configs, hi-lo)
 		}
 	}
 	progMu.Lock()

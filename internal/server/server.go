@@ -22,9 +22,9 @@
 // set the server requires bearer tokens and meters fair-share and rate
 // limits per token name; unset, it is open and meters per remote host.
 //
-// A submission may carry a shard spec ("i/n") and a client-supplied name:
-// the server expands the grid, runs only the i-th deterministic
-// sweep.Shard slice, and exports the shard's results in canonical
+// A submission may carry a span spec ("lo-hi") and a client-supplied name:
+// the server expands the grid, runs only the contiguous config range
+// [lo, hi), and exports the span's results in canonical
 // (core.EncodeResult) form — the building blocks the distributed
 // coordinator (internal/coord) fans out across hosts and merges
 // byte-identically. Every job owns a context: cancellation
@@ -64,7 +64,7 @@ import (
 const QueueCap = 256
 
 // MaxGridSize bounds a single submission's expanded configuration count.
-// Shard submissions are bounded by their full grid too: the server expands
+// Span submissions are bounded by their full grid too: the server expands
 // the whole grid before slicing it.
 const MaxGridSize = 1 << 20
 
@@ -245,13 +245,7 @@ func (s *Server) runJob(j *job) {
 	if !j.setRunning() {
 		return
 	}
-	cfgs := j.grid.Configs()
-	switch {
-	case j.hasSpan:
-		cfgs = cfgs[j.spanLo:j.spanHi]
-	case j.shardN > 0:
-		cfgs = sweep.Shard(cfgs, j.shardI, j.shardN)
-	}
+	cfgs := j.grid.Configs()[j.lo:j.hi]
 	// A fresh engine per job gives it a private progress feed and trace
 	// fallback report; the shared store still deduplicates simulations
 	// across jobs and processes, and the shared budget meters the ones
@@ -276,22 +270,19 @@ func (s *Server) runJob(j *job) {
 	j.finish(cfgs, results, eng.TraceFallbacks(), err)
 }
 
-// job is one submitted grid (or grid shard/span) and its lifecycle.
+// job is one submitted grid (or grid span) and its lifecycle.
 type job struct {
 	id    string
 	name  string // optional client-supplied identity
 	owner string // authenticated submitter: the fair-share budget identity
 	grid  sweep.Grid
-	// shardN > 0 selects sweep.Shard(cfgs, shardI, shardN) of the
-	// expanded grid.
-	shardI, shardN int
-	// hasSpan selects cfgs[spanLo:spanHi] of the expanded grid — the
-	// range form shard re-splitting produces (a stolen remainder is an
-	// arbitrary contiguous range, not an i/n slice).
-	spanLo, spanHi int
-	hasSpan        bool
-	total          int
-	// exportable jobs (named, sharded or spanned — the coordinator's)
+	// The job runs cfgs[lo:hi] of the expanded grid; a whole-grid job is
+	// [0, total). span is the submitted "lo-hi" spec, empty for a
+	// whole-grid job.
+	lo, hi int
+	span   string
+	total  int
+	// exportable jobs (named or spanned — the coordinator's)
 	// retain their canonical export entries after finishing; anonymous
 	// whole grid jobs keep only their Sweep, the pre-distribution
 	// footprint.
@@ -347,12 +338,8 @@ type JobStatus struct {
 	ID    string `json:"id"`
 	Name  string `json:"name,omitempty"`
 	State string `json:"state"`
-	// Shard is "i/n" when the job runs one deterministic shard of its
-	// grid rather than the whole expansion.
-	Shard string `json:"shard,omitempty"`
 	// Span is "lo-hi" when the job runs the contiguous config range
-	// [lo, hi) of its expanded grid (how a coordinator re-submits a
-	// stolen shard remainder).
+	// [lo, hi) of its expanded grid rather than the whole expansion.
 	Span  string `json:"span,omitempty"`
 	Done  int    `json:"done"`
 	Total int    `json:"total"`
@@ -516,18 +503,11 @@ func (j *job) doomed() bool {
 }
 
 func (j *job) statusLocked() JobStatus {
-	st := JobStatus{
+	return JobStatus{
 		ID: j.id, Name: j.name, State: j.state,
-		Done: j.done, Total: j.total, Watermark: j.wm, Error: j.err,
+		Span: j.span, Done: j.done, Total: j.total, Watermark: j.wm, Error: j.err,
 		TraceFallbacks: j.fallbacks,
 	}
-	if j.shardN > 0 {
-		st.Shard = sweep.FormatShard(j.shardI, j.shardN)
-	}
-	if j.hasSpan {
-		st.Span = sweep.FormatSpan(j.spanLo, j.spanHi)
-	}
-	return st
 }
 
 func (j *job) status() JobStatus {
@@ -586,28 +566,24 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // JobRequest is the submission body: a sweep.Grid, optionally narrowed to
-// one deterministic shard and tagged with a client-supplied name. It is
+// one contiguous span and tagged with a client-supplied name. It is
 // the one wire type both this server and the distributed coordinator
 // (internal/coord) marshal, so the two cannot drift.
 type JobRequest struct {
 	sweep.Grid
-	// Name is an optional client identity (e.g. "<sweep>-shard-3").
+	// Name is an optional client identity (e.g. "<sweep>-u0-4").
 	// Submitting a name that matches a live (non-terminal) job running
-	// the same grid and shard returns that job's status instead of
+	// the same grid and span returns that job's status instead of
 	// enqueueing a duplicate, so a client that lost a submission response
 	// can re-submit idempotently; the same name with different work is
 	// refused (409) rather than silently answered with someone else's
 	// sweep.
 	Name string `json:"name"`
-	// Shard is "i/n": run only the i-th of n contiguous shards of the
-	// expanded grid (sweep.Shard), whose concatenation in shard order is
-	// the full grid.
-	Shard string `json:"shard"`
 	// Span is "lo-hi": run only the contiguous config range [lo, hi) of
-	// the expanded grid. This is the work-unit form the elastic
-	// coordinator submits — an initial shard is sweep.SpanOf of the grid,
-	// and a remainder stolen from a straggler is whatever range was left.
-	// Mutually exclusive with Shard.
+	// the expanded grid; omitted, the job runs the whole grid. This is
+	// the one work-unit form: the coordinator's initial pieces are
+	// sweep.SpanOf of the grid, and a remainder stolen from a straggler
+	// is whatever range was left.
 	Span string `json:"span"`
 }
 
@@ -633,34 +609,21 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	total := g.Size()
 	if total > MaxGridSize {
 		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("grid expands to %d configurations (limit %d); shard it", total, MaxGridSize))
+			fmt.Errorf("grid expands to %d configurations (limit %d); split it into smaller grids", total, MaxGridSize))
 		return
 	}
-	var shardI, shardN int
-	var spanLo, spanHi int
-	hasSpan := false
-	switch {
-	case req.Shard != "" && req.Span != "":
-		writeError(w, http.StatusBadRequest, errors.New("a submission carries a shard or a span, not both"))
-		return
-	case req.Shard != "":
-		if shardI, shardN, err = sweep.ParseShard(req.Shard); err != nil {
+	lo, hi := 0, total
+	if req.Span != "" {
+		if lo, hi, err = sweep.ParseSpan(req.Span); err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		total = sweep.ShardLen(total, shardI, shardN)
-	case req.Span != "":
-		if spanLo, spanHi, err = sweep.ParseSpan(req.Span); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		if spanHi > total {
+		if hi > total {
 			writeError(w, http.StatusBadRequest,
 				fmt.Errorf("span %s exceeds the grid's %d configurations", req.Span, total))
 			return
 		}
-		hasSpan = true
-		total = spanHi - spanLo
+		total = hi - lo
 	}
 
 	s.mu.Lock()
@@ -678,12 +641,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			if jj.name != req.Name || jj.doomed() {
 				continue
 			}
-			if !reflect.DeepEqual(jj.grid, g) || jj.shardI != shardI || jj.shardN != shardN ||
-				jj.hasSpan != hasSpan || jj.spanLo != spanLo || jj.spanHi != spanHi {
+			if !reflect.DeepEqual(jj.grid, g) || jj.span != req.Span {
 				st := jj.status()
 				s.mu.Unlock()
 				writeError(w, http.StatusConflict,
-					fmt.Errorf("job name %q is live as %s with a different grid or shard", req.Name, st.ID))
+					fmt.Errorf("job name %q is live as %s with a different grid or span", req.Name, st.ID))
 				return
 			}
 			s.mu.Unlock()
@@ -709,10 +671,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	j := &job{
 		id: fmt.Sprintf("job-%d", s.nextID), name: req.Name,
 		owner: clientID(r),
-		grid:  g, shardI: shardI, shardN: shardN,
-		spanLo: spanLo, spanHi: spanHi, hasSpan: hasSpan,
+		grid:  g, lo: lo, hi: hi, span: req.Span,
 		total: total, state: "queued",
-		exportable: req.Name != "" || shardN > 0 || hasSpan,
+		exportable: req.Name != "" || req.Span != "",
 		ctx:        jctx, cancel: jcancel,
 		changed: make(chan struct{}),
 	}
@@ -831,7 +792,7 @@ func (s *Server) handleJobExport(w http.ResponseWriter, r *http.Request) {
 		// their records); exporting is the coordinator workflow, which
 		// always names its jobs.
 		writeError(w, http.StatusConflict,
-			fmt.Errorf("job %s was submitted without a name or shard and has no export; use /results", j.id))
+			fmt.Errorf("job %s was submitted without a name or span and has no export; use /results", j.id))
 		return
 	}
 	var (
@@ -871,7 +832,7 @@ func (s *Server) handleJobExport(w http.ResponseWriter, r *http.Request) {
 // The /api/v1/traces endpoints make every waycached host a node of the
 // content-addressed trace store: the coordinator (internal/coord) pushes
 // each referenced trace to the hosts that lack it before submitting
-// shard jobs, so a trace://<hash> sweep needs no pre-provisioned trace
+// span jobs, so a trace://<hash> sweep needs no pre-provisioned trace
 // directories anywhere. Objects are immutable and self-verifying — the
 // URL names the SHA-256 of the exact bytes — so PUT is idempotent and
 // replication can never serve the wrong trace.

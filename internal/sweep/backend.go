@@ -36,7 +36,7 @@ type Scanner interface {
 
 // EncodedPutter is the optional Backend extension for bulk-ingesting
 // results that already exist in core.EncodeResult's canonical byte form —
-// the shape remote waycached hosts export shards in. Implementations
+// the shape remote waycached hosts export spans in. Implementations
 // (resultdb.DB) validate and append the provided bytes directly, skipping
 // the decode/re-encode round trip; the stored payload is then exactly
 // what the remote computed.

@@ -55,9 +55,9 @@ type Options struct {
 	// TraceStore, when non-nil, resolves content-addressed trace
 	// references (core.Config.Trace = "trace://<hash>", typically set by
 	// Grid.TraceRefs) to local files, verified against their hash on
-	// decode. References whose object is missing or unreadable fall back
-	// to the walker when the benchmark has one, with the reason reported
-	// through TraceFallbacks.
+	// decode. References that are missing, unreadable or do not cover the
+	// run fall back to the walker when the benchmark has one, with the
+	// reason reported through TraceFallbacks.
 	TraceStore *tracestore.Store
 	// Budget, when non-nil, is a shared simulation-admission budget:
 	// every actual simulation (never a memo hit or disk recall) acquires
@@ -103,11 +103,13 @@ func New(o Options) *Engine {
 // sharing with other engines).
 func (e *Engine) Store() *Store { return e.store }
 
-// TraceFallbacks reports every benchmark that a TraceDir-enabled engine
-// re-simulated from the walker instead of replaying its capture, mapped to
-// the reason (missing file, stale seed, too few instructions, ...). Empty
-// when every resolved benchmark replayed, and nil when the engine has no
-// trace directory. Callers surface this so a -trace run that quietly
+// TraceFallbacks reports every benchmark (or, for a reference with no
+// benchmark, short hash) that the engine re-simulated from the walker —
+// or, lacking a walker, left to fail — instead of replaying its
+// directory capture or trace:// reference, mapped to the reason (missing
+// file, not in the store, stale seed, too few instructions, ...). Nil
+// when nothing fell back, including when the engine has neither a
+// TraceDir nor a TraceStore. Callers surface this so a run that quietly
 // re-simulated is visible in summaries, not silent.
 func (e *Engine) TraceFallbacks() map[string]string { return e.traces.fallbackReport() }
 

@@ -212,43 +212,14 @@ func (g Grid) Configs() []core.Config {
 	return cfgs
 }
 
-// Shard returns the i-th of n contiguous, near-equal slices of cfgs
-// (extra configs go to the leading shards). Concatenating the shards in
-// order reproduces cfgs exactly, so distributed runs can merge their
-// outputs deterministically. Shards beyond the config count are empty.
-func Shard(cfgs []core.Config, i, n int) []core.Config {
-	if n <= 0 || i < 0 || i >= n {
-		return nil
-	}
-	size, rem := len(cfgs)/n, len(cfgs)%n
-	lo := i*size + min(i, rem)
-	hi := lo + size
-	if i < rem {
-		hi++
-	}
-	return cfgs[lo:hi]
-}
-
-// ShardLen returns len(Shard(cfgs, i, n)) for any cfgs of length total,
-// without materializing the slice — how the coordinator and the HTTP
-// service size a shard job before (or without) expanding the grid.
-func ShardLen(total, i, n int) int {
-	if n <= 0 || i < 0 || i >= n || total < 0 {
-		return 0
-	}
-	size, rem := total/n, total%n
-	if i < rem {
-		size++
-	}
-	return size
-}
-
-// SpanOf returns the [lo, hi) config-index range of Shard(cfgs, i, n)
-// over any cfgs of length total — the range form of the same contiguous
-// partition, which is what makes a shard re-splittable: a partially done
-// shard [lo, hi) with w leading configs finished splits into an exported
-// prefix [lo, lo+w) and a remainder [lo+w, hi) that is itself a valid
-// work unit.
+// SpanOf returns the [lo, hi) config-index range of the i-th of n
+// contiguous, near-equal slices of a grid of total configs (extra configs
+// go to the leading slices; slices beyond the config count are empty).
+// Concatenating cfgs[SpanOf(len(cfgs), i, n)] for i = 0..n-1 reproduces
+// cfgs exactly, so distributed runs merge their outputs deterministically.
+// A span is also re-splittable: a partially done span [lo, hi) with w
+// leading configs finished splits into an exported prefix [lo, lo+w) and
+// a remainder [lo+w, hi) that is itself a valid work unit.
 func SpanOf(total, i, n int) (lo, hi int) {
 	if n <= 0 || i < 0 || i >= n || total < 0 {
 		return 0, 0
@@ -263,10 +234,12 @@ func SpanOf(total, i, n int) (lo, hi int) {
 }
 
 // ParseSpan parses a span spec "lo-hi": the contiguous half-open config
-// range [lo, hi) of the expanded grid, validating 0 <= lo < hi. Callers
-// bound hi against the grid size themselves.
+// range [lo, hi) of the expanded grid, validating 0 <= lo < hi. Only the
+// canonical FormatSpan form is accepted. Callers bound hi against the
+// grid size themselves.
 func ParseSpan(s string) (lo, hi int, err error) {
-	if _, err := fmt.Sscanf(s, "%d-%d", &lo, &hi); err != nil {
+	lo, hi, ok := parsePair(s, "-")
+	if !ok || s != FormatSpan(lo, hi) {
 		return 0, 0, fmt.Errorf("sweep: bad span %q (want lo-hi, e.g. 128-256)", s)
 	}
 	if lo < 0 || hi <= lo {
@@ -279,9 +252,11 @@ func ParseSpan(s string) (lo, hi int, err error) {
 func FormatSpan(lo, hi int) string { return fmt.Sprintf("%d-%d", lo, hi) }
 
 // ParseShard parses a shard spec "i/n" (e.g. "0/4" is the first of four
-// contiguous grid shards), validating 0 <= i < n.
+// contiguous grid slices; see SpanOf), validating 0 <= i < n. Only the
+// canonical "%d/%d" form is accepted.
 func ParseShard(s string) (i, n int, err error) {
-	if _, err := fmt.Sscanf(s, "%d/%d", &i, &n); err != nil {
+	i, n, ok := parsePair(s, "/")
+	if !ok || s != fmt.Sprintf("%d/%d", i, n) {
 		return 0, 0, fmt.Errorf("sweep: bad shard %q (want i/n, e.g. 0/4)", s)
 	}
 	if n <= 0 || i < 0 || i >= n {
@@ -290,8 +265,18 @@ func ParseShard(s string) (i, n int, err error) {
 	return i, n, nil
 }
 
-// FormatShard renders a shard spec in the form ParseShard accepts.
-func FormatShard(i, n int) string { return fmt.Sprintf("%d/%d", i, n) }
+// parsePair splits s at the first sep and parses both halves as decimal
+// integers. Callers re-format the pair and compare, so signs, padding and
+// trailing input never slip through.
+func parsePair(s, sep string) (a, b int, ok bool) {
+	x, y, found := strings.Cut(s, sep)
+	if !found {
+		return 0, 0, false
+	}
+	a, errA := strconv.Atoi(x)
+	b, errB := strconv.Atoi(y)
+	return a, b, errA == nil && errB == nil
+}
 
 // AllDPolicies lists every d-cache policy the simulator implements, in
 // enum order.

@@ -16,14 +16,8 @@ import (
 
 func captureBench(t *testing.T, dir, bench string, n int64) string {
 	t.Helper()
-	p, err := workload.ByName(bench)
-	if err != nil {
-		t.Fatal(err)
-	}
 	path := filepath.Join(dir, bench+trace.FileExt)
-	if err := p.CaptureFile(path, n); err != nil {
-		t.Fatal(err)
-	}
+	captureAs(t, path, bench, n)
 	return path
 }
 

@@ -18,40 +18,54 @@ func syntheticConfigs(n int) []core.Config {
 	return cfgs
 }
 
+// spanConcat concatenates cfgs[SpanOf(len(cfgs), i, n)] for i = 0..n-1,
+// checking on the way that the spans tile [0, len(cfgs)) contiguously.
+func spanConcat(t *testing.T, cfgs []core.Config, n int) []core.Config {
+	t.Helper()
+	var concat []core.Config
+	next := 0
+	for i := 0; i < n; i++ {
+		lo, hi := SpanOf(len(cfgs), i, n)
+		if lo != next || hi < lo || hi > len(cfgs) {
+			t.Fatalf("total=%d n=%d i=%d: span [%d,%d) does not continue at %d", len(cfgs), n, i, lo, hi, next)
+		}
+		next = hi
+		concat = append(concat, cfgs[lo:hi]...)
+	}
+	if next != len(cfgs) {
+		t.Fatalf("total=%d n=%d: spans end at %d", len(cfgs), n, next)
+	}
+	return concat
+}
+
 // TestShardPartitionProperty is the contract the distributed coordinator's
-// merge determinism rests on: for every total and every shard count —
+// merge determinism rests on: for every total and every part count —
 // including n that does not divide the total and n larger than the total —
-// concatenating Shard(cfgs, i, n) for i = 0..n-1 reproduces cfgs exactly,
-// shard sizes are contiguous and near-equal (leading shards take the
-// remainder), and ShardLen predicts every length without expansion.
+// the spans SpanOf(total, i, n) for i = 0..n-1 tile [0, total), so
+// concatenating their configs reproduces cfgs exactly, and span sizes are
+// near-equal (leading spans take the remainder).
 func TestShardPartitionProperty(t *testing.T) {
 	for _, total := range []int{0, 1, 2, 3, 5, 7, 8, 16, 17, 31} {
 		cfgs := syntheticConfigs(total)
 		for n := 1; n <= total+5; n++ {
-			var concat []core.Config
 			prevSize := -1
 			for i := 0; i < n; i++ {
-				shard := Shard(cfgs, i, n)
-				if got, want := len(shard), ShardLen(total, i, n); got != want {
-					t.Fatalf("total=%d n=%d i=%d: len(Shard)=%d, ShardLen=%d", total, n, i, got, want)
-				}
-				// Leading shards absorb the remainder: sizes are
+				lo, hi := SpanOf(total, i, n)
+				size := hi - lo
+				// Leading spans absorb the remainder: sizes are
 				// non-increasing and differ by at most one.
 				if prevSize >= 0 {
-					if len(shard) > prevSize {
-						t.Fatalf("total=%d n=%d i=%d: shard grew from %d to %d", total, n, i, prevSize, len(shard))
+					if size > prevSize {
+						t.Fatalf("total=%d n=%d i=%d: span grew from %d to %d", total, n, i, prevSize, size)
 					}
-					if prevSize-len(shard) > 1 {
-						t.Fatalf("total=%d n=%d i=%d: shard sizes %d and %d differ by more than 1",
-							total, n, i, prevSize, len(shard))
+					if prevSize-size > 1 {
+						t.Fatalf("total=%d n=%d i=%d: span sizes %d and %d differ by more than 1",
+							total, n, i, prevSize, size)
 					}
 				}
-				prevSize = len(shard)
-				concat = append(concat, shard...)
+				prevSize = size
 			}
-			if len(concat) != total {
-				t.Fatalf("total=%d n=%d: concatenated length %d", total, n, len(concat))
-			}
+			concat := spanConcat(t, cfgs, n)
 			for i := range concat {
 				if concat[i] != cfgs[i] {
 					t.Fatalf("total=%d n=%d: concat[%d] = %+v, want %+v", total, n, i, concat[i], cfgs[i])
@@ -61,37 +75,29 @@ func TestShardPartitionProperty(t *testing.T) {
 	}
 }
 
-// TestShardMoreShardsThanConfigs: with n > len(cfgs) the trailing shards
-// must be empty, never out of range, and the non-empty ones singletons.
+// TestShardMoreShardsThanConfigs: with n > total the trailing spans must
+// be empty, never out of range, and the non-empty ones singletons.
 func TestShardMoreShardsThanConfigs(t *testing.T) {
-	cfgs := syntheticConfigs(3)
-	const n = 7
+	const total, n = 3, 7
 	for i := 0; i < n; i++ {
-		shard := Shard(cfgs, i, n)
+		lo, hi := SpanOf(total, i, n)
 		want := 0
-		if i < len(cfgs) {
+		if i < total {
 			want = 1
 		}
-		if len(shard) != want {
-			t.Errorf("Shard(3 cfgs, %d, %d) has %d configs, want %d", i, n, len(shard), want)
+		if hi-lo != want || hi > total {
+			t.Errorf("SpanOf(%d, %d, %d) = [%d,%d), want %d configs within the grid", total, i, n, lo, hi, want)
 		}
 	}
 }
 
 func TestShardInvalidArgs(t *testing.T) {
-	cfgs := syntheticConfigs(4)
-	for _, tc := range []struct{ i, n int }{
-		{0, 0}, {0, -1}, {-1, 2}, {2, 2}, {5, 2},
+	for _, tc := range []struct{ total, i, n int }{
+		{4, 0, 0}, {4, 0, -1}, {4, -1, 2}, {4, 2, 2}, {4, 5, 2}, {-1, 0, 1},
 	} {
-		if got := Shard(cfgs, tc.i, tc.n); got != nil {
-			t.Errorf("Shard(cfgs, %d, %d) = %d configs, want nil", tc.i, tc.n, len(got))
+		if lo, hi := SpanOf(tc.total, tc.i, tc.n); lo != 0 || hi != 0 {
+			t.Errorf("SpanOf(%d, %d, %d) = [%d,%d), want empty", tc.total, tc.i, tc.n, lo, hi)
 		}
-		if got := ShardLen(len(cfgs), tc.i, tc.n); got != 0 {
-			t.Errorf("ShardLen(4, %d, %d) = %d, want 0", tc.i, tc.n, got)
-		}
-	}
-	if got := ShardLen(-1, 0, 1); got != 0 {
-		t.Errorf("ShardLen(-1, 0, 1) = %d, want 0", got)
 	}
 }
 
@@ -109,13 +115,7 @@ func TestShardGridExpansion(t *testing.T) {
 		t.Fatalf("Configs len %d != Size %d", len(cfgs), g.Size())
 	}
 	for _, n := range []int{1, 2, 3, 4, 5, 7, len(cfgs), len(cfgs) + 3} {
-		var concat []core.Config
-		for i := 0; i < n; i++ {
-			concat = append(concat, Shard(cfgs, i, n)...)
-		}
-		if len(concat) != len(cfgs) {
-			t.Fatalf("n=%d: concat %d configs, want %d", n, len(concat), len(cfgs))
-		}
+		concat := spanConcat(t, cfgs, n)
 		for i := range concat {
 			k1, _ := concat[i].Key()
 			k2, _ := cfgs[i].Key()
@@ -131,10 +131,10 @@ func TestParseShard(t *testing.T) {
 	if err != nil || i != 2 || n != 5 {
 		t.Errorf("ParseShard(2/5) = %d,%d,%v", i, n, err)
 	}
-	if got := FormatShard(2, 5); got != "2/5" {
-		t.Errorf("FormatShard(2,5) = %q", got)
-	}
-	for _, bad := range []string{"", "x", "1", "5/2", "2/2", "-1/2", "1/0", "1/-3"} {
+	for _, bad := range []string{
+		"", "x", "1", "5/2", "2/2", "-1/2", "1/0", "1/-3",
+		"0/2/3", "1/4junk", " 1/4", "+1/4", "01/4",
+	} {
 		if _, _, err := ParseShard(bad); err == nil {
 			t.Errorf("ParseShard(%q) did not error", bad)
 		}

@@ -77,25 +77,20 @@ func TestShard(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 5, 8, 11} {
 		var merged []core.Config
 		for i := 0; i < n; i++ {
-			merged = append(merged, Shard(cfgs, i, n)...)
+			lo, hi := SpanOf(len(cfgs), i, n)
+			merged = append(merged, cfgs[lo:hi]...)
 		}
 		if len(merged) != len(cfgs) {
 			t.Fatalf("n=%d: merged %d configs, want %d", n, len(merged), len(cfgs))
 		}
 		for i := range merged {
 			if merged[i] != cfgs[i] {
-				t.Fatalf("n=%d: shards reorder configs at %d", n, i)
+				t.Fatalf("n=%d: spans reorder configs at %d", n, i)
 			}
 		}
 	}
-	if got := Shard(cfgs, 10, 11); len(got) != 0 {
-		t.Errorf("shard beyond config count has %d configs, want 0", len(got))
-	}
-	if got := Shard(cfgs, -1, 4); got != nil {
-		t.Errorf("negative shard index returned %d configs", len(got))
-	}
-	if got := Shard(cfgs, 0, 0); got != nil {
-		t.Errorf("zero shard count returned %d configs", len(got))
+	if lo, hi := SpanOf(len(cfgs), 10, 11); lo != hi {
+		t.Errorf("span beyond config count is [%d,%d), want empty", lo, hi)
 	}
 }
 

@@ -16,15 +16,17 @@ import (
 // traceResolver resolves configs onto captured traces, from two sources:
 // a trace directory mapping benchmark names to <dir>/<benchmark>.wct
 // files, and a content-addressed store serving trace://<hash> references
-// carried by the configs themselves. Resolution is conservative: a trace
-// is used only when it provably covers the requested run (right
-// benchmark, enough instructions — and, for directory captures, the
+// carried by the configs themselves. Only locating the file differs
+// between the sources; probing, checking and falling back are shared.
+// Resolution is conservative: a trace is used only when it provably
+// covers the requested run (right benchmark, enough instructions — and,
+// for directory captures, which claim to mirror the walker, the
 // workload's current seed); anything else falls back to the walker,
 // which is always correct, just slower. Fallbacks are never silent:
 // every benchmark that reverted to the walker is recorded with its
 // reason (see fallbacks), so a run that quietly re-simulated can be
-// surfaced to the caller. A reference with no walker to fall back to
-// (an imported external workload) is left in place instead, so the run
+// surfaced to the caller. A config with no walker to fall back to (an
+// imported external workload) is left in place instead, so the run
 // fails with the resolver's reason rather than silently computing
 // something else.
 type traceResolver struct {
@@ -36,11 +38,14 @@ type traceResolver struct {
 	fallbacks map[string]string     // benchmark (or short hash) -> why the walker ran instead
 }
 
+// traceProbe is the cached verdict on one capture file: where it is and
+// what its header declares, or why it cannot be read at all.
 type traceProbe struct {
+	name   string // how reasons name the capture: "capture" or "trace <short hash>"
 	path   string
+	mirror bool // a directory capture, standing in for the walker itself
 	h      trace.Header
-	ok     bool   // capture exists, parses, and is trustworthy
-	reason string // when !ok: why the capture is unusable
+	reason string // non-empty: the capture is missing or unreadable
 }
 
 func newTraceResolver(dir string, store *tracestore.Store) *traceResolver {
@@ -56,150 +61,129 @@ func newTraceResolver(dir string, store *tracestore.Store) *traceResolver {
 }
 
 // resolve returns cfg pointed at a captured trace when one covers the
-// run, or cfg unchanged. A nil resolver resolves nothing — except that
-// trace:// references still need a store, so they fail in core with a
-// clear error rather than silently walking.
+// run: a directory capture's path in Trace, or a trace:// reference kept
+// with the store attached. Otherwise it returns the fallback config. A
+// nil resolver resolves nothing — except that trace:// references still
+// need a store, so they fail in core with a clear error rather than
+// silently walking.
 func (r *traceResolver) resolve(cfg core.Config) core.Config {
-	if cfg.Source != nil {
+	if cfg.Source != nil || r == nil {
 		return cfg
 	}
-	if hash, ok := trace.ParseRef(cfg.Trace); ok {
-		if r == nil {
+	hash, isRef := trace.ParseRef(cfg.Trace)
+	key := cfg.Trace
+	if !isRef {
+		if r.dir == "" || cfg.Trace != "" || cfg.Benchmark == "" {
 			return cfg
 		}
-		return r.resolveRef(cfg, hash)
+		key = cfg.Benchmark
 	}
-	if r == nil || r.dir == "" || cfg.Trace != "" || cfg.Benchmark == "" {
-		return cfg
-	}
-	p := r.probe(cfg.Benchmark)
-	if !p.ok {
-		r.noteFallback(cfg.Benchmark, p.reason)
-		return cfg
-	}
-	// Insts == 0 headers are rejected here even though core could replay
-	// them: without a declared count we cannot know up front that the file
-	// covers the run, and a mid-sweep fallback would not be possible.
-	if p.h.Insts <= 0 {
-		r.noteFallback(cfg.Benchmark, "capture declares no instruction count")
-		return cfg
-	}
-	if p.h.Insts < cfg.Canonical().Insts {
-		r.noteFallback(cfg.Benchmark, fmt.Sprintf("capture holds %d instructions, run needs %d",
-			p.h.Insts, cfg.Canonical().Insts))
-		return cfg
-	}
-	cfg.Trace = p.path
-	return cfg
-}
-
-// resolveRef resolves a trace://<hash> config through the content store.
-// A usable object keeps the reference and gains the store; an unusable
-// one falls back to the walker only when the benchmark actually has one
-// (suite benchmarks), with the reason — which names the hash and
-// distinguishes a missing object from an unreadable one — recorded
-// either way.
-func (r *traceResolver) resolveRef(cfg core.Config, hash string) core.Config {
-	p := r.probeRef(cfg.Trace, hash)
-	reason := p.reason
-	if p.ok {
-		switch {
-		case p.h.Insts > 0 && p.h.Insts < cfg.Canonical().Insts:
-			reason = fmt.Sprintf("trace %s holds %d instructions, run needs %d",
-				trace.ShortHash(hash), p.h.Insts, cfg.Canonical().Insts)
-		case cfg.Benchmark != "" && p.h.Benchmark != "" && p.h.Benchmark != cfg.Benchmark:
-			reason = fmt.Sprintf("trace %s was imported as %q, not %q",
-				trace.ShortHash(hash), p.h.Benchmark, cfg.Benchmark)
-		default:
+	p := r.probe(key, hash)
+	why := p.unusable(cfg)
+	if why == "" {
+		if isRef {
 			cfg.TraceStore = r.store
-			return cfg
+		} else {
+			cfg.Trace = p.path
 		}
+		return cfg
 	}
 
-	key := cfg.Benchmark
-	if key == "" {
-		key = trace.ShortHash(hash)
+	fbKey := cfg.Benchmark
+	if fbKey == "" {
+		fbKey = trace.ShortHash(hash)
 	}
-	r.noteFallback(key, reason)
-	if cfg.Benchmark != "" {
-		if _, err := workload.ByName(cfg.Benchmark); err == nil {
-			// The benchmark has a synthetic walker: run it, exactly like a
-			// directory-capture fallback.
-			cfg.Trace = ""
-			cfg.TraceStore = nil
-			return cfg
-		}
+	r.noteFallback(fbKey, why)
+	if _, err := workload.ByName(cfg.Benchmark); err == nil {
+		// The benchmark has a synthetic walker: run it.
+		cfg.Trace = ""
+		cfg.TraceStore = nil
+		return cfg
 	}
-	// No walker exists for this workload. Keep the reference (and the
-	// store, which may still be nil) so the run fails with the real
-	// resolution error instead of computing something else.
+	// No walker exists for this workload. Keep the config (and the store,
+	// which may still be nil) so the run fails with the real resolution
+	// error instead of computing something else.
 	cfg.TraceStore = r.store
 	return cfg
 }
 
-// probeRef inspects the store object behind a trace:// reference once
-// and caches the verdict. The reasons deliberately split the three
-// failure classes a distributed operator must tell apart: no store
-// configured, hash not in the store (fetch/push it), and object present
-// but unreadable (corrupt fetch or disk fault).
-func (r *traceResolver) probeRef(ref, hash string) traceProbe {
+// probe opens the capture behind key — the benchmark of a directory
+// capture, or the trace:// reference of hash — once per engine and caches
+// its header; concurrent workers share the cached verdict.
+func (r *traceResolver) probe(key, hash string) traceProbe {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if p, ok := r.probes[ref]; ok {
+	if p, ok := r.probes[key]; ok {
 		return p
 	}
-	var p traceProbe
-	if r.store == nil {
-		p.reason = fmt.Sprintf("trace %s: no trace store configured (-tracestore)", trace.ShortHash(hash))
-	} else if path, err := r.store.Path(hash); err != nil {
-		if errors.Is(err, tracestore.ErrNotFound) {
-			p.reason = fmt.Sprintf("trace %s: not in the trace store", trace.ShortHash(hash))
+	p := r.locate(key, hash)
+	if p.reason == "" {
+		if f, err := trace.Open(p.path); err != nil {
+			p.reason = fmt.Sprintf("%s: fetch failed: %v", p.name, err)
 		} else {
-			p.reason = fmt.Sprintf("trace %s: %v", trace.ShortHash(hash), err)
+			p.h = f.Header()
+			f.Close()
 		}
-	} else if f, err := trace.Open(path); err != nil {
-		p.reason = fmt.Sprintf("trace %s: fetch failed: %v", trace.ShortHash(hash), err)
-	} else {
-		p.path = path
-		p.h = f.Header()
-		f.Close()
-		p.ok = true
 	}
-	r.probes[ref] = p
+	r.probes[key] = p
 	return p
 }
 
-// probe inspects <dir>/<benchmark>.wct once per engine and caches the
-// verdict; concurrent workers share the cached header.
-func (r *traceResolver) probe(bench string) traceProbe {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if p, ok := r.probes[bench]; ok {
+// locate finds the file behind key: <dir>/<benchmark>.wct for a directory
+// capture, or the store object of hash. A reference's reasons split the
+// failure classes a distributed operator must tell apart: no store
+// configured, hash not in the store (fetch/push it), and — from probe —
+// object present but unreadable (corrupt fetch or disk fault).
+func (r *traceResolver) locate(key, hash string) traceProbe {
+	if hash == "" {
+		return traceProbe{name: "capture", path: filepath.Join(r.dir, key+trace.FileExt), mirror: true}
+	}
+	p := traceProbe{name: "trace " + trace.ShortHash(hash)}
+	if r.store == nil {
+		p.reason = p.name + ": no trace store configured (-tracestore)"
 		return p
 	}
-	p := traceProbe{path: filepath.Join(r.dir, bench+trace.FileExt)}
-	f, err := trace.Open(p.path)
-	if err != nil {
-		p.reason = err.Error()
-	} else {
-		p.h = f.Header()
-		f.Close()
-		switch prof, err := workload.ByName(bench); {
+	path, err := r.store.Path(hash)
+	switch {
+	case errors.Is(err, tracestore.ErrNotFound):
+		p.reason = p.name + ": not in the trace store"
+	case err != nil:
+		p.reason = fmt.Sprintf("%s: %v", p.name, err)
+	}
+	p.path = path
+	return p
+}
+
+// unusable returns why the probed capture cannot drive cfg's run, or ""
+// when it covers it. A capture that mirrors the walker must also name
+// the benchmark exactly, carry the workload's current seed — a trace
+// recorded before a profile's seed (and thus its stream) changed no
+// longer mirrors the walker — and declare its instruction count: core
+// could replay an undeclared count, but coverage could not be known up
+// front, and a mid-sweep fallback would not be possible.
+func (p traceProbe) unusable(cfg core.Config) string {
+	if p.reason != "" {
+		return p.reason
+	}
+	h := p.h
+	if h.Benchmark != cfg.Benchmark && (p.mirror || cfg.Benchmark != "" && h.Benchmark != "") {
+		return fmt.Sprintf("%s is of benchmark %q, not %q", p.name, h.Benchmark, cfg.Benchmark)
+	}
+	if p.mirror {
+		prof, err := workload.ByName(cfg.Benchmark)
+		switch {
 		case err != nil:
-			p.reason = err.Error()
-		case p.h.Benchmark != bench:
-			p.reason = fmt.Sprintf("capture is of benchmark %q, not %q", p.h.Benchmark, bench)
-		case p.h.Seed != prof.Seed:
-			// The seed check catches stale captures: a trace recorded
-			// before a profile's seed (and thus its stream) changed no
-			// longer mirrors the walker and must not stand in for it.
-			p.reason = fmt.Sprintf("capture seed %d is stale (workload seed is now %d)", p.h.Seed, prof.Seed)
-		default:
-			p.ok = true
+			return err.Error()
+		case h.Seed != prof.Seed:
+			return fmt.Sprintf("%s seed %d is stale (workload seed is now %d)", p.name, h.Seed, prof.Seed)
+		case h.Insts <= 0:
+			return p.name + " declares no instruction count"
 		}
 	}
-	r.probes[bench] = p
-	return p
+	if need := cfg.Canonical().Insts; h.Insts > 0 && h.Insts < need {
+		return fmt.Sprintf("%s holds %d instructions, run needs %d", p.name, h.Insts, need)
+	}
+	return ""
 }
 
 // noteFallback records that bench ran from the walker and why. Per-config

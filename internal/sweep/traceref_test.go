@@ -22,14 +22,7 @@ func coreCfg(bench, tr string) core.Config {
 // store and returns the store and the capture's trace:// reference.
 func storeWithCapture(t *testing.T, bench string, n int64) (*tracestore.Store, string) {
 	t.Helper()
-	p, err := workload.ByName(bench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), bench+trace.FileExt)
-	if err := p.CaptureFile(path, n); err != nil {
-		t.Fatal(err)
-	}
+	path := captureBench(t, t.TempDir(), bench, n)
 	store, err := tracestore.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -166,6 +159,105 @@ func TestTraceRefFallbackReasons(t *testing.T) {
 			t.Fatalf("reason %q must explain the shortfall", why)
 		}
 	})
+}
+
+// TestTraceSourcesShareRejections feeds the same capture bytes in as a
+// directory capture and as a trace:// reference through each rejection
+// class. Both sources must report a fallback with its reason and write
+// records byte-identical to the walker's: one resolver, whichever way
+// the capture arrived.
+func TestTraceSourcesShareRejections(t *testing.T) {
+	const bench, insts = "gcc", 2_000
+	walkGrid := Grid{Benchmarks: []string{bench}, Insts: insts}
+	walk, err := New(Options{}).Run(context.Background(), walkGrid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := walk.WriteJSON(&want); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name string
+		// capBench and capInsts describe the capture both sources serve;
+		// an empty capBench means there is none.
+		capBench       string
+		capInsts       int64
+		corrupt        bool // overwrite the bytes once stored
+		dirWhy, refWhy string
+	}{
+		{name: "missing", dirWhy: "fetch failed", refWhy: "not in the trace store"},
+		{name: "corrupt", capBench: bench, capInsts: insts, corrupt: true, dirWhy: "fetch failed", refWhy: "fetch failed"},
+		{name: "too short", capBench: bench, capInsts: insts / 2, dirWhy: "run needs 2000", refWhy: "run needs 2000"},
+		{name: "wrong benchmark", capBench: "swim", capInsts: insts, dirWhy: `of benchmark "swim"`, refWhy: `of benchmark "swim"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			dirPath := filepath.Join(dir, bench+trace.FileExt)
+			store, err := tracestore.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			hash := strings.Repeat("ab", 32)
+			if tc.capBench != "" {
+				captureAs(t, dirPath, tc.capBench, tc.capInsts)
+				if hash, _, err = store.PutFile(dirPath); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.corrupt {
+				objPath, err := store.Path(hash)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, path := range []string{dirPath, objPath} {
+					if err := os.WriteFile(path, []byte("not a trace file"), 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+
+			refGrid := walkGrid
+			refGrid.TraceRefs = map[string]string{bench: trace.FormatRef(hash)}
+			for _, src := range []struct {
+				name, why string
+				opts      Options
+				grid      Grid
+			}{
+				{"dir", tc.dirWhy, Options{TraceDir: dir}, walkGrid},
+				{"ref", tc.refWhy, Options{TraceStore: store}, refGrid},
+			} {
+				eng := New(src.opts)
+				sw, err := eng.Run(context.Background(), src.grid)
+				if err != nil {
+					t.Fatalf("%s: %v", src.name, err)
+				}
+				if why := eng.TraceFallbacks()[bench]; !strings.Contains(why, src.why) {
+					t.Errorf("%s: fallback reason %q does not mention %q", src.name, why, src.why)
+				}
+				var got bytes.Buffer
+				if err := sw.WriteJSON(&got); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got.Bytes(), want.Bytes()) {
+					t.Errorf("%s: fallback records differ from the walker's", src.name)
+				}
+			}
+		})
+	}
+}
+
+// captureAs writes n walker instructions of bench to path.
+func captureAs(t *testing.T, path, bench string, n int64) {
+	t.Helper()
+	p, err := workload.ByName(bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.CaptureFile(path, n); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestGridNormalize(t *testing.T) {
