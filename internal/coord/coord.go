@@ -1402,6 +1402,10 @@ func (c *run) pollStatus(ctx context.Context, host, id string) (server.JobStatus
 	return st, nil
 }
 
+// maxExportLine bounds one export line (one key and result payload, about
+// 2 KB in practice) that exportJob will buffer.
+const maxExportLine = 16 << 20
+
 // exportJob streams the job's canonical results and decodes every entry.
 // prefix < 0 exports the finished job whole; prefix >= 0 asks for the
 // first prefix entries of a (possibly still running) job — the partial
@@ -1435,16 +1439,12 @@ func (c *run) exportJob(ctx context.Context, host, id string, prefix int) (fligh
 			return &httpStatusError{status: resp.StatusCode, msg: string(bytes.TrimSpace(msg))}
 		}
 		out = flightOutput{}
-		dec := json.NewDecoder(bufio.NewReaderSize(resp.Body, 1<<16))
-		for {
-			var e server.ExportEntry
-			if err := dec.Decode(&e); err == io.EOF {
-				break
-			} else if err != nil {
+		lines := bufio.NewScanner(resp.Body)
+		lines.Buffer(make([]byte, 0, 1<<16), maxExportLine)
+		for lines.Scan() {
+			e, err := server.ParseExportLine(lines.Bytes())
+			if err != nil {
 				return fmt.Errorf("decoding export: %w", err)
-			}
-			if e.Key == "" || len(e.Result) == 0 {
-				return errors.New("export holds an empty entry")
 			}
 			res, err := core.DecodeResult(e.Result)
 			if err != nil {
@@ -1452,6 +1452,9 @@ func (c *run) exportJob(ctx context.Context, host, id string, prefix int) (fligh
 			}
 			out.entries = append(out.entries, e)
 			out.results = append(out.results, res)
+		}
+		if err := lines.Err(); err != nil {
+			return fmt.Errorf("reading export: %w", err)
 		}
 		if want >= 0 && len(out.entries) != want {
 			return fmt.Errorf("prefix export returned %d entries, want %d", len(out.entries), want)

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"waycache/internal/access"
+	"waycache/internal/isa"
 	"waycache/internal/trace"
 	"waycache/internal/workload"
 )
@@ -125,5 +127,42 @@ func TestKeySeparatesTraceFromWalker(t *testing.T) {
 	}
 	if walkKey == traceKey {
 		t.Fatal("trace and walker runs share a memo key")
+	}
+}
+
+// TestReplayOneWindowTrace replays a trace the pipeline takes in a single
+// window: the run ends before any refill, and must still report every
+// instruction it consumed to the source, or the short-trace check rejects
+// a complete replay.
+func TestReplayOneWindowTrace(t *testing.T) {
+	const n = 8
+	path := filepath.Join(t.TempDir(), "alu"+trace.FileExt)
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := trace.NewWriter(f, trace.Header{Benchmark: "alu", Insts: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		in := trace.Inst{PC: 0x1000 + 4*uint64(i), Kind: isa.KindIntALU, Dst: isa.Reg(1 + i)}
+		if err := w.Write(&in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	res, err := Run(Config{Trace: path, Insts: n})
+	if err != nil {
+		t.Fatalf("replaying a complete %d-instruction trace: %v", n, err)
+	}
+	if res.Pipeline.Committed != n {
+		t.Errorf("committed %d instructions, want %d", res.Pipeline.Committed, n)
 	}
 }

@@ -274,6 +274,13 @@ func (p *Pipeline) Run() Stats {
 			break
 		}
 	}
+	if p.winUsed > 0 {
+		// Report the last window's consumed prefix, which otherwise waits
+		// for a refill that never comes: the source's count must cover
+		// every instruction the run took.
+		p.batch.Advance(p.winUsed)
+		p.winUsed = 0
+	}
 	p.stats.Cycles = p.cycle
 	return p.stats
 }

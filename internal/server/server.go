@@ -35,6 +35,8 @@
 package server
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -782,6 +784,101 @@ type ExportEntry struct {
 	Result json.RawMessage `json:"result"`
 }
 
+// AppendExportLine appends e as one line of an export stream:
+//
+//	{"key":<key as a JSON string>,"result":<e.Result verbatim>}\n
+//
+// These are the bytes json.Encoder writes for the entry, because
+// e.Result, an EncodeResult payload, is already compact, HTML-safe JSON.
+func AppendExportLine(dst []byte, e ExportEntry) []byte {
+	key, _ := json.Marshal(e.Key) // a string always marshals
+	dst = append(dst, `{"key":`...)
+	dst = append(dst, key...)
+	dst = append(dst, `,"result":`...)
+	dst = append(dst, e.Result...)
+	return append(dst, '}', '\n')
+}
+
+// ParseExportLine reads back one line AppendExportLine wrote, with or
+// without its newline. It checks the framing only: a non-empty key, and
+// a result that is one JSON object closing exactly where the line does.
+// Whether that object is a Result is core.DecodeResult's to check. The
+// returned entry does not alias line.
+func ParseExportLine(line []byte) (ExportEntry, error) {
+	line = bytes.TrimSuffix(line, []byte("\n"))
+	rest, ok := bytes.CutPrefix(line, []byte(`{"key":`))
+	n := quotedLen(rest)
+	if !ok || n < 0 {
+		return ExportEntry{}, fmt.Errorf("export line does not start with a key: %.40q", line)
+	}
+	var e ExportEntry
+	if quoted := rest[:n]; bytes.IndexByte(quoted, '\\') < 0 {
+		e.Key = string(quoted[1 : n-1])
+	} else if err := json.Unmarshal(quoted, &e.Key); err != nil {
+		return ExportEntry{}, fmt.Errorf("export line key: %w", err)
+	}
+	if e.Key == "" {
+		return ExportEntry{}, errors.New("export line has an empty key")
+	}
+	rest, ok = bytes.CutPrefix(rest[n:], []byte(`,"result":`))
+	if !ok {
+		return ExportEntry{}, fmt.Errorf("export line for %s has no result", e.Key)
+	}
+	n = objectLen(rest)
+	if n < 0 {
+		return ExportEntry{}, fmt.Errorf("export line for %s ends inside its result", e.Key)
+	}
+	if string(rest[n:]) != "}" {
+		return ExportEntry{}, fmt.Errorf("export line for %s has %q after its result", e.Key, rest[n:])
+	}
+	e.Result = bytes.Clone(rest[:n])
+	return e, nil
+}
+
+// quotedLen returns the length of the JSON string, quotes included, that
+// starts b, or -1 if b does not start with one or ends before it closes.
+func quotedLen(b []byte) int {
+	if len(b) == 0 || b[0] != '"' {
+		return -1
+	}
+	for i := 1; i < len(b); i++ {
+		switch b[i] {
+		case '\\':
+			i++
+		case '"':
+			return i + 1
+		}
+	}
+	return -1
+}
+
+// objectLen returns the length of the JSON object that starts b, or -1 if
+// b does not start with one or ends before it closes. It matches braces
+// and brackets outside strings; it does not validate what lies between.
+func objectLen(b []byte) int {
+	if len(b) == 0 || b[0] != '{' {
+		return -1
+	}
+	depth := 0
+	for i := 0; i < len(b); i++ {
+		switch b[i] {
+		case '"':
+			n := quotedLen(b[i:])
+			if n < 0 {
+				return -1
+			}
+			i += n - 1
+		case '{', '[':
+			depth++
+		case '}', ']':
+			if depth--; depth == 0 {
+				return i + 1
+			}
+		}
+	}
+	return -1
+}
+
 func (s *Server) handleJobExport(w http.ResponseWriter, r *http.Request) {
 	j := s.job(w, r)
 	if j == nil {
@@ -819,12 +916,13 @@ func (s *Server) handleJobExport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
+	bw := bufio.NewWriterSize(w, 32<<10)
 	for _, e := range exports {
-		if err := enc.Encode(e); err != nil {
-			return
+		if _, err := bw.Write(AppendExportLine(bw.AvailableBuffer(), e)); err != nil {
+			return // the client went away; there is no one left to tell
 		}
 	}
+	_ = bw.Flush() // likewise
 }
 
 // --- trace distribution ---

@@ -60,7 +60,10 @@ func matchInt(allowed []int, v int) bool {
 }
 
 // Match reports whether r satisfies every populated dimension of f.
-func (f Filter) Match(r Record) bool {
+func (f Filter) Match(r Record) bool { return f.match(&r) }
+
+// match is Match without copying the filter or the record.
+func (f *Filter) match(r *Record) bool {
 	return matchString(f.Benchmarks, r.Benchmark) &&
 		matchString(f.DPolicies, r.DPolicy) &&
 		matchString(f.IPolicies, r.IPolicy) &&
@@ -78,12 +81,20 @@ func (f Filter) Match(r Record) bool {
 		(f.Insts == 0 || f.Insts == r.Insts)
 }
 
-// Apply returns the records matching f, in their incoming order.
+// Apply returns the records matching f, in their incoming order. It
+// counts the matches first, so the result is allocated at their size, not
+// at the size of recs.
 func (f Filter) Apply(recs []Record) []Record {
-	out := make([]Record, 0, len(recs))
-	for _, r := range recs {
-		if f.Match(r) {
-			out = append(out, r)
+	n := 0
+	for i := range recs {
+		if f.match(&recs[i]) {
+			n++
+		}
+	}
+	out := make([]Record, 0, n)
+	for i := range recs {
+		if f.match(&recs[i]) {
+			out = append(out, recs[i])
 		}
 	}
 	return out

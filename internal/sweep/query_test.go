@@ -50,6 +50,41 @@ func TestFilterMatch(t *testing.T) {
 	}
 }
 
+// TestFilterApplySizedToMatches: Match and Apply share one pointer-based
+// matcher, and Apply allocates for the matches alone, not for every
+// record it scans.
+func TestFilterApplySizedToMatches(t *testing.T) {
+	var recs []Record
+	for _, bench := range []string{"gcc", "swim", "mcf"} {
+		for _, dpol := range []string{"parallel", "seldm+waypred"} {
+			for _, ways := range []int{1, 2, 4, 8} {
+				recs = append(recs, rec(bench, dpol, ways, 1))
+			}
+		}
+	}
+	for _, f := range []Filter{
+		{},
+		{Benchmarks: []string{"swim"}, DPolicies: []string{"parallel"}, DWays: []int{2, 4}},
+		{Benchmarks: []string{"art"}},
+	} {
+		var want []Record
+		for i := range recs {
+			if m := f.match(&recs[i]); m != f.Match(recs[i]) {
+				t.Fatalf("%+v: match and Match disagree on %+v", f, recs[i])
+			} else if m {
+				want = append(want, recs[i])
+			}
+		}
+		got := f.Apply(recs)
+		if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Errorf("%+v: Apply = %d records, want %d", f, len(got), len(want))
+		}
+		if got == nil || cap(got) != len(want) {
+			t.Errorf("%+v: Apply returned cap %d (nil %v) for %d matches", f, cap(got), got == nil, len(want))
+		}
+	}
+}
+
 func TestSortRecordsCanonical(t *testing.T) {
 	recs := queryRecords()
 	SortRecords(recs)
